@@ -34,6 +34,16 @@ fn bench_graph(c: &mut Criterion) {
     }
     group.bench_function("stats", |b| b.iter(|| GraphStats::compute(&g)));
 
+    // The medium G_QA (1,235 nodes with neighbours) fits in five
+    // 256-source batches of the multi-source closeness BFS; the
+    // paper-scale G_D (9,037 of 14,643 users with neighbours) spans
+    // 36, as the feature pipeline sees it.
+    let (paper, _) = SynthConfig::paper_scale().generate().preprocess();
+    let paper_dense = dense_graph(paper.num_users(), paper.threads());
+    group.bench_function("closeness_paper_dense", |b| {
+        b.iter(|| closeness(&paper_dense))
+    });
+
     // Scratch reuse vs per-call allocation: the one-shot bfs_distances
     // allocates fresh buffers per source; the pooled scratch is what
     // the centrality kernels run on.

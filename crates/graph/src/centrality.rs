@@ -6,7 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::graph::Graph;
-use crate::scratch::{BfsScratch, BrandesScratch, ScratchPool};
+use crate::scratch::{ActiveCsr, BrandesScratch, MsBfsScratch, ScratchPool, MS_BFS_BATCH};
 
 /// Closeness centrality of every node, per the paper's definition
 /// `l_u = (|U| − 1) / Σ_{v ≠ u} z_{u,v}` where unreachable pairs are
@@ -27,50 +27,42 @@ pub fn closeness(g: &Graph) -> Vec<f64> {
 }
 
 /// [`closeness`] with an explicit worker-thread count (`0` = auto).
-/// Each node's BFS is independent and partial results concatenate in
-/// chunk (= node) order, so the output is bitwise-identical for any
-/// thread count. BFS state comes from a [`ScratchPool`]: every chunk
-/// reuses one scratch across all its sources, so the inner loop
-/// performs no per-source allocation.
+///
+/// Runs a bit-parallel multi-source BFS from the nodes that have
+/// neighbours, 256 sources per traversal; isolated nodes get 0
+/// without one. Each source's distance sum is the same integer a
+/// single-source BFS adds up, and the value is `(n − 1) / sum` in
+/// `f64` from that integer, so every output bit is fixed. Batches run
+/// over [`forumcast_par::parallel_map`] in batch order and each value
+/// depends only on its own source, so the output is bitwise-identical
+/// for any thread count. Lane buffers come from a [`ScratchPool`]:
+/// each worker reuses one scratch across its batches.
 pub fn closeness_with_threads(g: &Graph, threads: usize) -> Vec<f64> {
     let _span = forumcast_obs::span("graph.closeness");
     let n = g.num_nodes();
+    let mut out = vec![0.0; n];
     if n <= 1 {
-        return vec![0.0; n];
+        return out;
     }
+    let csr = ActiveCsr::new(g);
+    let batches: Vec<usize> = (0..csr.len()).step_by(MS_BFS_BATCH).collect();
     let threads = forumcast_par::resolve_threads(threads);
-    let pool: ScratchPool<BfsScratch> = ScratchPool::new();
-    let out = forumcast_par::parallel_chunk_fold(
-        n,
-        threads,
-        |range| {
-            let mut scratch = pool.acquire();
-            let partial: Vec<f64> = range
-                .map(|u| {
-                    scratch.run(g, u as u32);
-                    // The source contributes distance 0, so summing
-                    // every visited node equals the v ≠ u sum; nodes
-                    // never visited are exactly the unreachable ones.
-                    let sum: u64 = scratch
-                        .visited()
-                        .iter()
-                        .map(|&v| scratch.dist(v) as u64)
-                        .sum();
-                    if sum > 0 {
-                        (n as f64 - 1.0) / sum as f64
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            pool.release(scratch);
-            partial
-        },
-        |partials| partials.concat(),
-    );
+    let pool: ScratchPool<MsBfsScratch> = ScratchPool::new();
+    let sums = forumcast_par::parallel_map(&batches, threads, |&first| {
+        let mut scratch = pool.acquire();
+        let sums = scratch.distance_sums(&csr, first);
+        pool.release(scratch);
+        sums
+    });
+    // The last batch's unused lanes fall off the end of the zip.
+    for (&u, &sum) in csr.ids().iter().zip(sums.iter().flatten()) {
+        if sum > 0 {
+            out[u as usize] = (n as f64 - 1.0) / sum as f64;
+        }
+    }
     forumcast_obs::counter_add(
         "graph.bfs.scratch_reuses",
-        (n.saturating_sub(pool.created())) as u64,
+        (csr.len().saturating_sub(pool.created())) as u64,
     );
     out
 }

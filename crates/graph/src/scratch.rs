@@ -1,13 +1,15 @@
 //! Reusable per-thread scratch state for the BFS-based kernels.
 //!
-//! Every centrality in this crate runs one BFS (or one Brandes pass)
-//! per source node. Allocating the distance/σ/δ/predecessor buffers
-//! per source is the dominant non-traversal cost on forum-scale
-//! graphs, so the kernels draw scratch from a [`ScratchPool`] instead:
-//! a chunk of sources acquires one scratch, runs every source through
-//! it, and releases it for the next chunk. Resets are `O(visited)`,
-//! not `O(n)` — a per-node *visit epoch stamp* marks which entries
-//! belong to the current run, so untouched entries are never cleared.
+//! Betweenness runs one Brandes pass per source node and closeness
+//! runs one multi-source BFS per batch of [`MS_BFS_BATCH`] sources.
+//! Allocating the distance/σ/δ/predecessor (or bit-lane) buffers per
+//! source or per batch is the dominant non-traversal cost on
+//! forum-scale graphs, so the kernels draw scratch from a
+//! [`ScratchPool`] instead: a unit of work acquires one scratch, runs
+//! its sources through it, and releases it for the next one. The
+//! single-source resets are `O(visited)`, not `O(n)` — a per-node
+//! *visit epoch stamp* marks which entries belong to the current run,
+//! so untouched entries are never cleared.
 //!
 //! The pool reports how often a scratch was reused (`sources −
 //! scratches created`), surfaced by the kernels as the
@@ -187,6 +189,156 @@ impl BrandesScratch {
             }
             if w != s {
                 bc[w_us] += self.delta[w_us] * scale;
+            }
+        }
+    }
+}
+
+/// `u64` words of bit lanes per node in a multi-source BFS batch
+/// (4 measured best on the paper-scale SLN graphs).
+const MS_BFS_WORDS: usize = 4;
+
+/// Sources traversed together by one [`MsBfsScratch`] batch: one bit
+/// lane per source.
+pub(crate) const MS_BFS_BATCH: usize = 64 * MS_BFS_WORDS;
+
+/// One node's bit lanes: bit `i` of word `i / 64` belongs to the
+/// batch's `i`-th source.
+type Lanes = [u64; MS_BFS_WORDS];
+
+const NO_LANES: Lanes = [0; MS_BFS_WORDS];
+
+/// The nodes of a [`Graph`] with degree > 0, renumbered `0 .. len`
+/// in ascending original-id order, with the adjacency restricted to
+/// them in CSR form. Isolated nodes reach nobody and nobody reaches
+/// them, so dropping them changes no distance. The renumbering is
+/// monotone, so each neighbour slice stays sorted.
+#[derive(Debug)]
+pub(crate) struct ActiveCsr {
+    /// Original node id of each compact node.
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+}
+
+impl ActiveCsr {
+    pub(crate) fn new(g: &Graph) -> Self {
+        let n = g.num_nodes();
+        let mut compact = vec![u32::MAX; n];
+        let mut ids = Vec::new();
+        for u in 0..n as u32 {
+            if g.degree(u) > 0 {
+                compact[u as usize] = ids.len() as u32;
+                ids.push(u);
+            }
+        }
+        // Isolated nodes own empty neighbour slices, so each active
+        // node's slice ends where it did in `g`.
+        let offsets = std::iter::once(0)
+            .chain(ids.iter().map(|&u| g.offsets[u as usize + 1]))
+            .collect();
+        let neighbors = g.neighbors.iter().map(|&v| compact[v as usize]).collect();
+        ActiveCsr {
+            ids,
+            offsets,
+            neighbors,
+        }
+    }
+
+    /// Number of nodes with degree > 0.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Original node id of each compact node, in compact order.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    fn neighbors(&self, u: usize) -> &[u32] {
+        &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+}
+
+/// Bit-parallel multi-source BFS state (Then et al., *The More the
+/// Merrier*, PVLDB 2014): every node carries `seen`, `frontier` and
+/// `next` bit lanes, one lane per source of the batch, so a single
+/// traversal reads each edge once per level for all
+/// [`MS_BFS_BATCH`] sources.
+#[derive(Debug, Default)]
+pub(crate) struct MsBfsScratch {
+    seen: Vec<Lanes>,
+    frontier: Vec<Lanes>,
+    next: Vec<Lanes>,
+}
+
+impl MsBfsScratch {
+    /// Runs BFS from the compact sources `first ..` (up to
+    /// [`MS_BFS_BATCH`] of them, fewer in the last batch) at once and
+    /// returns each source's distance sum `Σ_v z_{s,v}` over the nodes
+    /// it reaches, indexed by `source − first`; lanes past the last
+    /// source read 0.
+    ///
+    /// At level `d` every lane newly set in a node's `seen` adds `d`
+    /// to its source's sum, so each reachable `(source, node)` pair
+    /// contributes its BFS distance exactly once: the same integer a
+    /// single-source BFS sums.
+    pub(crate) fn distance_sums(&mut self, csr: &ActiveCsr, first: usize) -> [u64; MS_BFS_BATCH] {
+        let n = csr.len();
+        let count = (n - first).min(MS_BFS_BATCH);
+        for buf in [&mut self.seen, &mut self.frontier, &mut self.next] {
+            buf.clear();
+            buf.resize(n, NO_LANES);
+        }
+        for i in 0..count {
+            let bit = 1u64 << (i % 64);
+            self.seen[first + i][i / 64] |= bit;
+            self.frontier[first + i][i / 64] |= bit;
+        }
+        let mut sums = [0u64; MS_BFS_BATCH];
+        let mut depth = 0u64;
+        loop {
+            depth += 1;
+            // Push: every frontier node ORs its lanes into its
+            // neighbours' `next`, consuming the frontier.
+            for u in 0..n {
+                let lanes = std::mem::replace(&mut self.frontier[u], NO_LANES);
+                if lanes == NO_LANES {
+                    continue;
+                }
+                for &v in csr.neighbors(u) {
+                    let next = &mut self.next[v as usize];
+                    for w in 0..MS_BFS_WORDS {
+                        next[w] |= lanes[w];
+                    }
+                }
+            }
+            // Settle: lanes not seen before form the next frontier,
+            // and each one adds this level's depth to its source.
+            let mut advanced = false;
+            for v in 0..n {
+                let next = std::mem::replace(&mut self.next[v], NO_LANES);
+                if next == NO_LANES {
+                    continue;
+                }
+                let seen = &mut self.seen[v];
+                let mut fresh = NO_LANES;
+                for w in 0..MS_BFS_WORDS {
+                    fresh[w] = next[w] & !seen[w];
+                    seen[w] |= fresh[w];
+                    let mut bits = fresh[w];
+                    while bits != 0 {
+                        sums[w * 64 + bits.trailing_zeros() as usize] += depth;
+                        bits &= bits - 1;
+                    }
+                }
+                if fresh != NO_LANES {
+                    self.frontier[v] = fresh;
+                    advanced = true;
+                }
+            }
+            if !advanced {
+                return sums;
             }
         }
     }

@@ -6,13 +6,19 @@
 //! predecessor vectors); the floating-point operation order is the
 //! contract, so the comparisons are on bits, not epsilons.
 //!
-//! Graphs stay under one parallel chunk (`CHUNK_SIZE` = 64 sources)
-//! so the serial reference and the chunk-merged production kernel
-//! share one FP reduction order.
+//! The proptest graphs stay under one parallel chunk (`CHUNK_SIZE` =
+//! 64 sources) so the serial reference and the chunk-merged production
+//! betweenness kernel share one FP reduction order. Closeness has no
+//! cross-source reduction, so the multi-batch cases at the end use
+//! graphs of 300–1,200 nodes: they reach past one 256-source batch of
+//! the multi-source BFS, and past one 64-lane word within a batch.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use forumcast_graph::{
     betweenness_with_threads, bfs_distances, closeness_with_threads, pagerank, Graph,
@@ -178,5 +184,65 @@ proptest! {
             bits(&pagerank(&g, 0.85, 60)),
             bits(&ref_pagerank(&adj, 0.85, 60))
         );
+    }
+}
+
+/// A graph on `n` nodes of which exactly `active` have neighbours,
+/// scattered among the isolated ones by a seeded shuffle. The active
+/// nodes form one long path holding a third of them (deep BFS levels),
+/// one single-edge component, and three random connected components
+/// (random spanning tree plus chords).
+fn multi_batch_graph(n: usize, active: usize, seed: u64) -> Graph {
+    assert!(active <= n && active >= 12);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut nodes: Vec<u32> = (0..n as u32).collect();
+    nodes.shuffle(&mut rng);
+    nodes.truncate(active);
+    let mut edges = Vec::new();
+    let path_len = active / 3;
+    let (path, rest) = nodes.split_at(path_len);
+    edges.extend(path.windows(2).map(|w| (w[0], w[1])));
+    let (pair, rest) = rest.split_at(2);
+    edges.push((pair[0], pair[1]));
+    let third = rest.len() / 3;
+    for comp in [&rest[..third], &rest[third..2 * third], &rest[2 * third..]] {
+        for i in 1..comp.len() {
+            edges.push((comp[i], comp[rng.gen_range(0..i)]));
+        }
+        for _ in 0..comp.len() {
+            let (a, b) = (rng.gen_range(0..comp.len()), rng.gen_range(0..comp.len()));
+            edges.push((comp[a], comp[b]));
+        }
+    }
+    Graph::from_edges(n, &edges)
+}
+
+#[test]
+fn closeness_matches_reference_bitwise_across_batches_and_threads() {
+    // (nodes, active, seed): an exactly full batch, one source into a
+    // second batch, partial last words, several full batches plus a
+    // partial one, and a graph with no isolated nodes at all.
+    let cases = [
+        (300, 256, 1),
+        (300, 257, 2),
+        (450, 321, 3),
+        (700, 511, 4),
+        (700, 513, 5),
+        (1_200, 1_000, 6),
+        (1_200, 1_200, 7),
+        (997, 700, 8),
+    ];
+    for (n, active, seed) in cases {
+        let g = multi_batch_graph(n, active, seed);
+        let degree_positive = (0..n as u32).filter(|&u| g.degree(u) > 0).count();
+        assert_eq!(degree_positive, active, "case ({n}, {active}, {seed})");
+        let expected = bits(&ref_closeness(&adjacency(&g)));
+        for threads in [1, 2, 7] {
+            assert_eq!(
+                bits(&closeness_with_threads(&g, threads)),
+                expected,
+                "case ({n}, {active}, {seed}) at {threads} threads"
+            );
+        }
     }
 }

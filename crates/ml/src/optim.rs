@@ -167,6 +167,26 @@ impl Adam {
         adam.v = v;
         adam
     }
+
+    /// The moment and parameter update of one step, given how to
+    /// bias-correct the moment estimates `m` and `v`.
+    #[inline(always)]
+    fn update(
+        &mut self,
+        params: &mut [f64],
+        grads: &[f64],
+        unbias_m: impl Fn(f64) -> f64,
+        unbias_v: impl Fn(f64) -> f64,
+    ) {
+        for i in 0..params.len() {
+            let g = grads[i];
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+            let m_hat = unbias_m(self.m[i]);
+            let v_hat = unbias_v(self.v[i]);
+            params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        }
+    }
 }
 
 impl Optimizer for Adam {
@@ -180,13 +200,14 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        // Once a bias correction rounds to exactly 1.0 (from t ≈ 356
+        // for β₁ = 0.9, t ≈ 37,400 for β₂ = 0.999) dividing by it is
+        // the identity, so the division is skipped with the same bits.
+        match (bc1 == 1.0, bc2 == 1.0) {
+            (true, true) => self.update(params, grads, |m| m, |v| v),
+            (true, false) => self.update(params, grads, |m| m, |v| v / bc2),
+            (false, true) => self.update(params, grads, |m| m / bc1, |v| v),
+            (false, false) => self.update(params, grads, |m| m / bc1, |v| v / bc2),
         }
     }
 
@@ -236,6 +257,42 @@ mod tests {
         let mut x = vec![0.0];
         opt.step(&mut x, &[123.0]);
         assert!((x[0] + 0.01).abs() < 1e-6);
+    }
+
+    #[test]
+    fn adam_matches_textbook_update_bitwise_past_both_shortcuts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const STEPS: usize = 40_000;
+        // The run crosses both points where a bias correction rounds
+        // to 1.0 and the division is skipped.
+        assert_eq!(1.0 - 0.9f64.powi(400), 1.0);
+        assert_eq!(1.0 - 0.999f64.powi(STEPS as i32), 1.0);
+        assert!(1.0 - 0.999f64.powi(30_000) < 1.0);
+
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut opt = Adam::new(0.003);
+        let (b1, b2, eps, lr) = (opt.beta1, opt.beta2, opt.epsilon, opt.learning_rate);
+        let mut params = vec![0.5f64, -1.25, 3.0, 0.0, -0.001, 7.5];
+        let mut textbook = params.clone();
+        let (mut m, mut v) = (vec![0.0f64; params.len()], vec![0.0f64; params.len()]);
+        let mut grads = vec![0.0f64; params.len()];
+        for t in 1..=STEPS {
+            for g in &mut grads {
+                *g = rng.gen_range(-2.0..2.0);
+            }
+            opt.step(&mut params, &grads);
+            let bc1 = 1.0 - b1.powi(t as i32);
+            let bc2 = 1.0 - b2.powi(t as i32);
+            for i in 0..textbook.len() {
+                m[i] = b1 * m[i] + (1.0 - b1) * grads[i];
+                v[i] = b2 * v[i] + (1.0 - b2) * grads[i] * grads[i];
+                textbook[i] -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + eps);
+            }
+        }
+        let bits = |x: &[f64]| x.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&params), bits(&textbook));
+        assert_eq!(opt.moments(), (&m[..], &v[..]));
     }
 
     #[test]

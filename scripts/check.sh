@@ -10,8 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --workspace -q --no-fail-fast"
+cargo test --workspace -q --no-fail-fast
 
 echo "==> fault-injection smoke (FORUMCAST_FAULTS=fold-panic:1)"
 FORUMCAST_FAULTS=fold-panic:1 cargo test -q -p forumcast-resilience
