@@ -853,6 +853,32 @@ mod tests {
     }
 
     #[test]
+    fn spilled_files_identical_at_one_and_two_workers() {
+        let mut cfg = EvalConfig::quick();
+        cfg.buckets = 3;
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let mut spills = Vec::new();
+        for threads in [1, 2] {
+            cfg.threads = threads;
+            let dir = temp_dir(&format!("workers{threads}"));
+            SpilledExperiment::build(&ds, &cfg, &dir).unwrap();
+            let files: Vec<Vec<u8>> = [POS_FILE, NEG_FILE, META_FILE]
+                .iter()
+                .map(|name| std::fs::read(dir.join(name)).unwrap())
+                .collect();
+            std::fs::remove_dir_all(&dir).unwrap();
+            spills.push(files);
+        }
+        for (name, (one, two)) in [POS_FILE, NEG_FILE, META_FILE]
+            .iter()
+            .zip(spills[0].iter().zip(&spills[1]))
+        {
+            assert!(!one.is_empty(), "{name} is empty");
+            assert!(one == two, "{name} differs between 1 and 2 workers");
+        }
+    }
+
+    #[test]
     fn open_restores_shape_and_metadata() {
         let (data, cfg) = quick();
         let dir = temp_dir("open");

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use forumcast_data::{Dataset, UserId};
-use forumcast_features::{ExtractorConfig, FeatureExtractor, FeatureLayout};
+use forumcast_features::{ExtractorConfig, FeatureExtractor, FeatureLayout, HistoryTokens};
 use forumcast_resilience::fault::{self, FaultSite};
 use forumcast_resilience::with_retry;
 
@@ -167,12 +167,39 @@ pub(crate) fn build_each(
     let mut windows = vec![0.0; num_targets];
 
     let bucket_size = num_targets.div_ceil(buckets);
-    for b in 0..buckets {
-        let start = warmup + b * bucket_size;
+    let starts: Vec<usize> = (0..buckets)
+        .map(|b| warmup + b * bucket_size)
+        .take_while(|&start| start < threads.len())
+        .collect();
+
+    // Each bucket's extractor is a pure function of the threads
+    // before its start, so every fit runs up front and concurrently,
+    // largest prefix first, from one tokenization of the longest
+    // prefix. The fits are consumed in bucket order below, so the
+    // output is identical for any worker-thread count.
+    let tokens = {
+        let _span = forumcast_obs::span("features.tokenize");
+        HistoryTokens::new(&threads[..*starts.last().expect("at least one bucket")])
+    };
+    let largest_first: Vec<usize> = (0..starts.len()).rev().collect();
+    let mut extractors: Vec<Option<FeatureExtractor>> =
+        forumcast_par::parallel_map(&largest_first, worker_threads, |&b| {
+            let _span = forumcast_obs::task_span("features.fit", b as u64);
+            FeatureExtractor::fit_shared(
+                &threads[..starts[b]],
+                &tokens,
+                dataset.num_users(),
+                extractor_config,
+            )
+        })
+        .into_iter()
+        .rev()
+        .map(Some)
+        .collect();
+    drop(tokens);
+
+    for (b, &start) in starts.iter().enumerate() {
         let end = (start + bucket_size).min(threads.len());
-        if start >= end {
-            break;
-        }
         let _bucket_span = forumcast_obs::span_unit("features.bucket", b as u64);
 
         // Pass 1 (serial): windows, answerer lists, and negative
@@ -209,9 +236,9 @@ pub(crate) fn build_each(
         // `(u, q)` vector is a pure function of the fitted
         // extractor and the plan, and results are flattened in
         // thread order, so the output is identical for any
-        // worker-thread count.
-        let extractor =
-            FeatureExtractor::fit(&threads[..start], dataset.num_users(), extractor_config);
+        // worker-thread count. The extractor is dropped once its
+        // bucket has been sunk.
+        let extractor = extractors[b].take().expect("fitted once per bucket");
         // The bucket's feature matrix is a pure function of the
         // fitted extractor and the plans (the RNG was consumed
         // entirely in pass 1), so the materialization pass can be
@@ -368,14 +395,45 @@ mod tests {
     fn build_identical_across_thread_counts() {
         let mut cfg = EvalConfig::quick();
         let (ds, _) = cfg.synth.generate().preprocess();
-        cfg.threads = 1;
-        let serial = ExperimentData::build(&ds, &cfg);
-        for threads in [2, 7] {
-            cfg.threads = threads;
-            let par = ExperimentData::build(&ds, &cfg);
-            assert_eq!(serial.positives, par.positives, "{threads} threads");
-            assert_eq!(serial.negatives, par.negatives, "{threads} threads");
-            assert_eq!(serial.windows, par.windows, "{threads} threads");
+        for buckets in 1..=4 {
+            cfg.buckets = buckets;
+            cfg.threads = 1;
+            let serial = ExperimentData::build(&ds, &cfg);
+            for threads in [2, 7] {
+                cfg.threads = threads;
+                let par = ExperimentData::build(&ds, &cfg);
+                let label = format!("{buckets} bucket(s), {threads} threads");
+                assert_eq!(serial.positives, par.positives, "{label}");
+                assert_eq!(serial.negatives, par.negatives, "{label}");
+                assert_eq!(serial.windows, par.windows, "{label}");
+            }
+        }
+    }
+
+    /// Every record's features come from an extractor fitted on
+    /// exactly the threads before its bucket, however the fits were
+    /// scheduled.
+    #[test]
+    fn each_bucket_uses_an_extractor_fitted_on_its_own_history() {
+        let mut cfg = EvalConfig::quick();
+        cfg.buckets = 3;
+        cfg.threads = 2;
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let data = ExperimentData::build(&ds, &cfg);
+        let threads = ds.threads();
+        let warmup = (threads.len() as f64 * cfg.warmup_frac) as usize;
+        let bucket_size = data.num_targets.div_ceil(cfg.buckets);
+        let extractors: Vec<FeatureExtractor> = (0..cfg.buckets)
+            .map(|b| {
+                let history = &threads[..warmup + b * bucket_size];
+                FeatureExtractor::fit(history, ds.num_users(), &cfg.extractor)
+            })
+            .collect();
+        for r in data.positives.iter().chain(&data.negatives) {
+            let extractor = &extractors[r.target / bucket_size];
+            let thread = &threads[warmup + r.target];
+            let d_q = extractor.question_topics(thread);
+            assert_eq!(r.x, extractor.features(r.user, thread, &d_q), "{r:?}");
         }
     }
 

@@ -5,7 +5,7 @@ use forumcast_topics::{tv_similarity, LdaConfig};
 
 use crate::context::{BetweennessMode, FeatureContext};
 use crate::layout::FeatureLayout;
-use crate::topics::PostTopics;
+use crate::topics::{HistoryTokens, PostTopics};
 
 /// Configuration for [`FeatureExtractor::fit`].
 #[derive(Debug, Clone)]
@@ -73,7 +73,23 @@ pub struct FeatureExtractor {
 impl FeatureExtractor {
     /// Fits topics and aggregates on the history partition.
     pub fn fit(history: &[Thread], num_users: u32, config: &ExtractorConfig) -> Self {
-        let topics = PostTopics::fit(history, &config.lda);
+        Self::fit_shared(history, &HistoryTokens::new(history), num_users, config)
+    }
+
+    /// [`FeatureExtractor::fit`] on `history`, a prefix of the threads
+    /// `tokens` was built from, without tokenizing again (see
+    /// [`PostTopics::fit_shared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `history` is not a prefix of the tokenized threads.
+    pub fn fit_shared(
+        history: &[Thread],
+        tokens: &HistoryTokens,
+        num_users: u32,
+        config: &ExtractorConfig,
+    ) -> Self {
+        let topics = PostTopics::fit_shared(history, tokens, &config.lda);
         let context = FeatureContext::build(history, num_users, &topics, config.betweenness);
         let layout = FeatureLayout::new(topics.num_topics());
         FeatureExtractor {

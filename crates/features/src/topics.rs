@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use forumcast_data::{PostBody, QuestionId, Thread, UserId};
-use forumcast_text::{tokenize_filtered, BagOfWords, Corpus, Vocabulary};
+use forumcast_text::{tokenize_filtered, BagOfWords, InternedDocs, Vocabulary};
 use forumcast_topics::{LdaConfig, LdaModel};
 
 /// An LDA model fitted on the posts of a history partition, plus the
@@ -24,39 +24,45 @@ impl PostTopics {
     /// Tokenizes every post in `history`, builds a pruned vocabulary,
     /// trains LDA with `config`, and records `d(p)` for each post.
     pub fn fit(history: &[Thread], config: &LdaConfig) -> Self {
-        // One document per post, question first within each thread.
-        let mut docs: Vec<Vec<String>> = Vec::new();
-        let mut keys: Vec<PostKey> = Vec::new();
-        for t in history {
-            docs.push(tokenize_filtered(&t.question.body.text));
-            keys.push(PostKey::Question(t.id));
-            for a in &t.answers {
-                docs.push(tokenize_filtered(&a.body.text));
-                keys.push(PostKey::Answer(t.id, a.author));
-            }
-        }
-        let mut vocab = Vocabulary::new();
-        for d in &docs {
-            vocab.observe(d);
-        }
-        vocab.prune(2, 0.6);
-        let corpus = Corpus::from_token_docs(&docs, &vocab);
-        let lda = LdaModel::train(&corpus, config);
+        Self::fit_shared(history, &HistoryTokens::new(history), config)
+    }
 
+    /// [`PostTopics::fit`] on `history`, a prefix of the threads
+    /// `tokens` was built from, without tokenizing again. The result
+    /// is bit for bit that of `fit(history, config)`: the prefix's
+    /// vocabulary keeps the words in `[2, ⌊0.6 · posts⌋]` of its posts,
+    /// in first-appearance order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `history` is not a prefix of the tokenized threads.
+    pub fn fit_shared(history: &[Thread], tokens: &HistoryTokens, config: &LdaConfig) -> Self {
+        assert!(
+            history.len() <= tokens.thread_ids.len()
+                && history
+                    .iter()
+                    .zip(&tokens.thread_ids)
+                    .all(|(t, &id)| t.id == id),
+            "history is not a prefix of the tokenized threads"
+        );
+        let (vocab, corpus) = tokens
+            .posts
+            .prefix_corpus(tokens.thread_ends[history.len()], 2, 0.6);
+        let lda = LdaModel::train_tokens(&corpus, config);
+
+        // One document per post, question first within each thread.
         let mut question_topics = HashMap::new();
         let mut answer_topics = HashMap::new();
-        for (i, key) in keys.into_iter().enumerate() {
-            let theta = lda.doc_topics(i).to_vec();
-            match key {
-                PostKey::Question(q) => {
-                    question_topics.insert(q, theta);
-                }
-                PostKey::Answer(q, u) => {
-                    // A user's duplicate answers (rare, pre-cleaning)
-                    // keep the last distribution; preprocessing
-                    // removes duplicates anyway.
-                    answer_topics.insert((q, u), theta);
-                }
+        let mut doc = 0;
+        for t in history {
+            question_topics.insert(t.id, lda.doc_topics(doc).to_vec());
+            doc += 1;
+            for a in &t.answers {
+                // A user's duplicate answers (rare, pre-cleaning)
+                // keep the last distribution; preprocessing
+                // removes duplicates anyway.
+                answer_topics.insert((t.id, a.author), lda.doc_topics(doc).to_vec());
+                doc += 1;
             }
         }
         PostTopics {
@@ -75,6 +81,11 @@ impl PostTopics {
     /// The underlying LDA model.
     pub fn model(&self) -> &LdaModel {
         &self.lda
+    }
+
+    /// The pruned vocabulary the model was trained against.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        &self.vocab
     }
 
     /// Topic distribution of a history question.
@@ -158,6 +169,38 @@ impl PostTopics {
 enum PostKey {
     Question(QuestionId),
     Answer(QuestionId, UserId),
+}
+
+/// Every post of a thread sequence tokenized once into one interning
+/// vocabulary — question first within each thread — so that topics
+/// fitted on several prefixes of the sequence share one tokenization.
+#[derive(Debug, Clone)]
+pub struct HistoryTokens {
+    posts: InternedDocs,
+    thread_ids: Vec<QuestionId>,
+    /// `thread_ends[i]`: the posts of the first `i` threads.
+    thread_ends: Vec<usize>,
+}
+
+impl HistoryTokens {
+    /// Tokenizes the posts of `threads`, in order.
+    pub fn new(threads: &[Thread]) -> Self {
+        let mut posts = InternedDocs::new();
+        let mut thread_ends = Vec::with_capacity(threads.len() + 1);
+        thread_ends.push(0);
+        for t in threads {
+            posts.push_text(&t.question.body.text);
+            for a in &t.answers {
+                posts.push_text(&a.body.text);
+            }
+            thread_ends.push(posts.num_docs());
+        }
+        HistoryTokens {
+            posts,
+            thread_ids: threads.iter().map(|t| t.id).collect(),
+            thread_ends,
+        }
+    }
 }
 
 #[cfg(test)]

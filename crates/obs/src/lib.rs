@@ -55,7 +55,7 @@
 //! thread, so long runs with many short-lived `forumcast-par` worker
 //! scopes keep a bounded shard set.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -98,6 +98,7 @@ thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     static SHARD: RefCell<Option<ShardHandle>> = const { RefCell::new(None) };
+    static RUN_SCOPE: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Frame {
@@ -355,6 +356,38 @@ impl Drop for WorkerShardGuard {
         // Release even if the collector disarmed meanwhile: a stale
         // handle would otherwise pin its shard until thread exit.
         let _ = SHARD.try_with(|slot| slot.borrow_mut().take());
+    }
+}
+
+/// The current thread's run scope: 0 unless an enclosing
+/// [`enter_run_scope`] set one. `forumcast-par` workers take their
+/// caller's scope, so per-run state keyed by it — an armed fault plan
+/// in `forumcast-resilience` — follows the run's work onto worker
+/// threads and reaches no other thread.
+pub fn run_scope() -> u64 {
+    RUN_SCOPE.with(Cell::get)
+}
+
+/// Sets the current thread's run scope until the guard drops, which
+/// restores the previous one.
+pub fn enter_run_scope(scope: u64) -> RunScopeGuard {
+    RunScopeGuard {
+        prev: RUN_SCOPE.with(|s| s.replace(scope)),
+        _not_send: std::marker::PhantomData,
+    }
+}
+
+/// Restores the previous run scope on drop; see [`enter_run_scope`].
+/// Not `Send`: it must drop on the thread whose scope it set.
+#[must_use = "the guard holds the thread's run scope"]
+pub struct RunScopeGuard {
+    prev: u64,
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for RunScopeGuard {
+    fn drop(&mut self) {
+        let _ = RUN_SCOPE.try_with(|s| s.set(self.prev));
     }
 }
 
@@ -618,6 +651,20 @@ fn record(kind: EventKind, path: String, unit: Option<u64>, at: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_scope_guards_nest_and_restore() {
+        assert_eq!(run_scope(), 0);
+        {
+            let _outer = enter_run_scope(5);
+            {
+                let _inner = enter_run_scope(9);
+                assert_eq!(run_scope(), 9);
+            }
+            assert_eq!(run_scope(), 5);
+        }
+        assert_eq!(run_scope(), 0);
+    }
 
     #[test]
     fn peak_rss_is_nonzero_on_linux_and_never_panics() {

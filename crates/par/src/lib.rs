@@ -92,10 +92,14 @@ where
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
     let slots = parking_lot::Mutex::new(&mut results);
+    let run_scope = forumcast_obs::run_scope();
 
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
+                // Workers run in their caller's run scope, so a fault
+                // plan armed for the caller's run fires here too.
+                let _scope = forumcast_obs::enter_run_scope(run_scope);
                 // Claim a telemetry shard for this worker's lifetime:
                 // registration cost lands here (before any timed
                 // item), and the shard returns to the pool when the
@@ -146,10 +150,12 @@ where
     let stop = AtomicBool::new(false);
     let mut results: Vec<Option<Result<U, E>>> = (0..items.len()).map(|_| None).collect();
     let slots = parking_lot::Mutex::new(&mut results);
+    let run_scope = forumcast_obs::run_scope();
 
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
+                let _scope = forumcast_obs::enter_run_scope(run_scope);
                 let _obs = forumcast_obs::worker_shard();
                 loop {
                     if stop.load(Ordering::Relaxed) {

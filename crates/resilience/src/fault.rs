@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, RwLock};
 
 /// Environment variable holding the fault-plan spec.
@@ -228,11 +228,34 @@ impl FaultPlan {
         self.shots.is_empty()
     }
 
-    /// Arms the plan process-wide and returns a guard that disarms it
-    /// on drop. Armed scopes are serialized: a second `arm` blocks
-    /// until the first guard drops, so concurrent tests cannot see
-    /// each other's faults.
+    /// Arms the plan for the calling thread's run and returns a guard
+    /// that disarms it on drop. The plan's probes fire on this thread
+    /// and on the `forumcast-par` workers it starts (which inherit its
+    /// run scope, see [`forumcast_obs::run_scope`]), never on other
+    /// threads — so a test arming a plan cannot fault a test running
+    /// beside it. Armed scopes are serialized: a second `arm` blocks
+    /// until the first guard drops.
     pub fn arm(self) -> FaultGuard {
+        let scope = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
+        let lock = self.install(Some(scope));
+        FaultGuard {
+            _scope: forumcast_obs::enter_run_scope(scope),
+            _lock: lock,
+        }
+    }
+
+    /// Arms the plan on every thread for the remainder of the process
+    /// — for binaries wiring up `--faults` / [`FAULTS_ENV`] at
+    /// startup. Later `arm` calls in the same process will block
+    /// forever; use [`Self::arm`] in tests.
+    pub fn arm_for_process(self) {
+        std::mem::forget(self.install(None));
+    }
+
+    /// Makes this plan the active one, firing on threads in run scope
+    /// `scope` (every thread for `None`), and returns the held arming
+    /// lock.
+    fn install(self, scope: Option<u64>) -> MutexGuard<'static, ()> {
         install_quiet_hook();
         let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut remaining: HashMap<(FaultSite, u64), u32> = HashMap::new();
@@ -240,22 +263,17 @@ impl FaultPlan {
             *remaining.entry((*site, *unit)).or_insert(0) += count;
         }
         *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(ActivePlan {
+            scope,
             remaining: Mutex::new(remaining),
         }));
         ARMED.store(true, Ordering::Release);
-        FaultGuard { _lock: lock }
-    }
-
-    /// Arms the plan for the remainder of the process — for binaries
-    /// wiring up `--faults` / [`FAULTS_ENV`] at startup. Later `arm`
-    /// calls in the same process will block forever; use [`Self::arm`]
-    /// in tests.
-    pub fn arm_for_process(self) {
-        std::mem::forget(self.arm());
+        lock
     }
 }
 
 struct ActivePlan {
+    /// The run scope the plan fires in; `None` fires on every thread.
+    scope: Option<u64>,
     remaining: Mutex<HashMap<(FaultSite, u64), u32>>,
 }
 
@@ -263,9 +281,12 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static ACTIVE: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
 static ARM_LOCK: Mutex<()> = Mutex::new(());
 static HOOK: Once = Once::new();
+/// Run scopes handed to armed plans; 0 is every thread's default.
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 
 /// Disarms the plan (and releases the arming lock) on drop.
 pub struct FaultGuard {
+    _scope: forumcast_obs::RunScopeGuard,
     _lock: MutexGuard<'static, ()>,
 }
 
@@ -309,6 +330,12 @@ pub fn fires(site: FaultSite, unit: u64) -> bool {
     let Some(plan) = active.as_ref() else {
         return false;
     };
+    if plan
+        .scope
+        .is_some_and(|scope| scope != forumcast_obs::run_scope())
+    {
+        return false;
+    }
     let mut remaining = plan
         .remaining
         .lock()
@@ -351,6 +378,24 @@ pub fn io_point(site: FaultSite, unit: u64) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An armed plan fires on the arming thread and the par workers it
+    /// starts, and on no other thread.
+    #[test]
+    fn armed_plan_fires_only_in_the_arming_run() {
+        const UNIT: u64 = 987_654;
+        let _guard = FaultPlan::parse("ingest-io:987654x3").unwrap().arm();
+        let outside = std::thread::scope(|s| {
+            s.spawn(|| fires(FaultSite::IngestIo, UNIT))
+                .join()
+                .expect("probe thread")
+        });
+        assert!(!outside, "a thread outside the run fired");
+        let workers = forumcast_par::parallel_map(&[0, 1], 2, |_| fires(FaultSite::IngestIo, UNIT));
+        assert_eq!(workers, vec![true, true]);
+        assert!(fires(FaultSite::IngestIo, UNIT));
+        assert!(!fires(FaultSite::IngestIo, UNIT), "three shots only");
+    }
 
     #[test]
     fn parse_accepts_sites_indices_and_multiplicity() {

@@ -143,6 +143,93 @@ impl Corpus {
     pub fn total_tokens(&self) -> u64 {
         self.docs.iter().map(|d| d.total() as u64).sum()
     }
+
+    /// The token-level view of this corpus: each document's word ids
+    /// in increasing order, each repeated by its count.
+    pub fn to_tokens(&self) -> TokenCorpus {
+        let mut tokens = Vec::with_capacity(self.total_tokens() as usize);
+        let mut offsets = Vec::with_capacity(self.docs.len() + 1);
+        offsets.push(0);
+        for bow in &self.docs {
+            for (id, c) in bow.iter() {
+                tokens.extend(std::iter::repeat_n(id as u32, c as usize));
+            }
+            offsets.push(tokens.len());
+        }
+        TokenCorpus {
+            tokens,
+            offsets,
+            num_words: self.num_words,
+        }
+    }
+}
+
+/// A corpus flattened to token ids, the layout collapsed Gibbs
+/// sampling works on: document `d` is
+/// `tokens()[offsets()[d] .. offsets()[d + 1]]`, its word ids in
+/// increasing order and each repeated by its count, as
+/// [`Corpus::to_tokens`] lists them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TokenCorpus {
+    tokens: Vec<u32>,
+    offsets: Vec<usize>,
+    num_words: usize,
+}
+
+impl TokenCorpus {
+    /// Builds a token corpus from per-document id lists, sorting each
+    /// document's ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an id is `>= num_words`.
+    pub fn from_docs<I, D>(docs: I, num_words: usize) -> Self
+    where
+        I: IntoIterator<Item = D>,
+        D: IntoIterator<Item = u32>,
+    {
+        let mut tokens: Vec<u32> = Vec::new();
+        let mut offsets = vec![0];
+        for doc in docs {
+            let start = tokens.len();
+            tokens.extend(doc);
+            let ids = &mut tokens[start..];
+            ids.sort_unstable();
+            if let Some(&max_id) = ids.last() {
+                assert!(
+                    (max_id as usize) < num_words,
+                    "word id {max_id} out of range (num_words = {num_words})"
+                );
+            }
+            offsets.push(tokens.len());
+        }
+        TokenCorpus {
+            tokens,
+            offsets,
+            num_words,
+        }
+    }
+
+    /// Number of documents.
+    pub fn num_docs(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Vocabulary size this corpus is encoded against.
+    pub fn num_words(&self) -> usize {
+        self.num_words
+    }
+
+    /// Every document's tokens, concatenated in document order.
+    pub fn tokens(&self) -> &[u32] {
+        &self.tokens
+    }
+
+    /// Document boundaries within [`tokens`](TokenCorpus::tokens):
+    /// `num_docs() + 1` non-decreasing offsets starting at 0.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +293,30 @@ mod tests {
         assert_eq!(c.num_words(), 2);
         assert_eq!(c.total_tokens(), 3);
         assert_eq!(c.doc(1).count(v.id_of("y").unwrap()), 1);
+    }
+
+    #[test]
+    fn token_view_sorts_and_repeats_ids_per_document() {
+        let c = Corpus::from_bows(
+            vec![
+                BagOfWords::from_ids(&[3, 1, 3]),
+                BagOfWords::default(),
+                BagOfWords::from_ids(&[0]),
+            ],
+            4,
+        );
+        let t = c.to_tokens();
+        assert_eq!(t.tokens(), &[1, 3, 3, 0]);
+        assert_eq!(t.offsets(), &[0, 3, 3, 4]);
+        assert_eq!(t.num_words(), 4);
+        let docs = [vec![3u32, 1, 3], vec![], vec![0]];
+        assert_eq!(TokenCorpus::from_docs(docs, 4), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn token_corpus_validates_ids() {
+        TokenCorpus::from_docs([vec![0u32, 4]], 4);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * [`stopwords`] — a compact English stop-word list;
 //! * [`Vocabulary`] — interning of tokens to dense word ids with
 //!   frequency-based pruning;
-//! * [`BagOfWords`] / [`Corpus`] — sparse document–term counts.
+//! * [`BagOfWords`] / [`Corpus`] — sparse document–term counts, and
+//!   [`TokenCorpus`], their token-level view;
+//! * [`InternedDocs`] — documents tokenized once into interned ids,
+//!   yielding the pruned vocabulary and corpus of any prefix.
 //!
 //! # Example
 //!
@@ -27,11 +30,13 @@
 //! ```
 
 pub mod bow;
+pub mod interned;
 pub mod stopwords;
 pub mod tokenizer;
 pub mod vocab;
 
-pub use bow::{BagOfWords, Corpus};
+pub use bow::{BagOfWords, Corpus, TokenCorpus};
+pub use interned::InternedDocs;
 pub use stopwords::is_stopword;
 pub use tokenizer::{tokenize, tokenize_filtered};
 pub use vocab::Vocabulary;

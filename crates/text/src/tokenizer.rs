@@ -21,6 +21,14 @@ use crate::stopwords::is_stopword;
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
+    for_each_token(text, |tok| tokens.push(tok.to_owned()));
+    tokens
+}
+
+/// Calls `f` on each token of `text`, in order, by the rules of
+/// [`tokenize`], reusing one buffer instead of allocating a `String`
+/// per token.
+fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
     for ch in text.chars() {
         let is_word_char = ch.is_alphanumeric() || ch == '_' || ch == '+' || ch == '#';
@@ -29,16 +37,16 @@ pub fn tokenize(text: &str) -> Vec<String> {
                 cur.push(lc);
             }
         } else if !cur.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut cur));
+            emit_token(&cur, &mut f);
+            cur.clear();
         }
     }
     if !cur.is_empty() {
-        push_token(&mut tokens, cur);
+        emit_token(&cur, &mut f);
     }
-    tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, tok: String) {
+fn emit_token(tok: &str, f: &mut impl FnMut(&str)) {
     // Drop stray '+'/'#' only tokens and 1-char alphabetic noise.
     let has_alnum = tok.chars().any(|c| c.is_alphanumeric());
     if !has_alnum {
@@ -47,7 +55,17 @@ fn push_token(tokens: &mut Vec<String>, tok: String) {
     if tok.chars().count() == 1 && tok.chars().all(|c| c.is_alphabetic()) {
         return;
     }
-    tokens.push(tok);
+    f(tok);
+}
+
+/// Calls `f` on each token [`tokenize_filtered`] would return, in
+/// order, without allocating the tokens.
+pub(crate) fn for_each_filtered_token(text: &str, mut f: impl FnMut(&str)) {
+    for_each_token(text, |tok| {
+        if !is_stopword(tok) {
+            f(tok);
+        }
+    });
 }
 
 /// Tokenizes and removes English stop words.
@@ -59,10 +77,9 @@ fn push_token(tokens: &mut Vec<String>, tok: String) {
 /// assert_eq!(tokenize_filtered("how do I sort the list"), vec!["sort", "list"]);
 /// ```
 pub fn tokenize_filtered(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_filtered_token(text, |tok| tokens.push(tok.to_owned()));
+    tokens
 }
 
 #[cfg(test)]

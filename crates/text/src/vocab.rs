@@ -18,7 +18,7 @@ use std::collections::HashMap;
 /// assert_eq!(v.len(), 2);
 /// assert_eq!(v.count_of("rust"), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Vocabulary {
     ids: HashMap<String, usize>,
     tokens: Vec<String>,
@@ -101,26 +101,37 @@ impl Vocabulary {
     /// This mirrors the usual Gensim `filter_extremes` preparation the
     /// paper's pipeline relies on.
     pub fn prune(&mut self, min_docs: usize, max_doc_frac: f64) -> usize {
-        let max_docs = (max_doc_frac * self.num_docs as f64).floor() as usize;
-        let keep: Vec<usize> = (0..self.tokens.len())
-            .filter(|&id| self.doc_counts[id] >= min_docs && self.doc_counts[id] <= max_docs)
-            .collect();
+        let keep = kept_ids(&self.doc_counts, self.num_docs, min_docs, max_doc_frac);
         let removed = self.tokens.len() - keep.len();
-        let mut ids = HashMap::with_capacity(keep.len());
-        let mut tokens = Vec::with_capacity(keep.len());
-        let mut counts = Vec::with_capacity(keep.len());
-        let mut doc_counts = Vec::with_capacity(keep.len());
-        for (new_id, &old_id) in keep.iter().enumerate() {
-            ids.insert(self.tokens[old_id].clone(), new_id);
-            tokens.push(self.tokens[old_id].clone());
-            counts.push(self.counts[old_id]);
-            doc_counts.push(self.doc_counts[old_id]);
-        }
-        self.ids = ids;
-        self.tokens = tokens;
-        self.counts = counts;
-        self.doc_counts = doc_counts;
+        *self = Vocabulary::from_kept(
+            keep.iter().map(|&id| self.tokens[id].clone()).collect(),
+            keep.iter().map(|&id| self.counts[id]).collect(),
+            keep.iter().map(|&id| self.doc_counts[id]).collect(),
+            self.num_docs,
+        );
         removed
+    }
+
+    /// A vocabulary whose ids are the positions in `tokens`, with the
+    /// given term and document frequencies over `num_docs` documents.
+    pub(crate) fn from_kept(
+        tokens: Vec<String>,
+        counts: Vec<usize>,
+        doc_counts: Vec<usize>,
+        num_docs: usize,
+    ) -> Self {
+        let ids = tokens
+            .iter()
+            .enumerate()
+            .map(|(id, tok)| (tok.clone(), id))
+            .collect();
+        Vocabulary {
+            ids,
+            tokens,
+            counts,
+            doc_counts,
+            num_docs,
+        }
     }
 
     /// Iterates over `(token, term_count)` pairs in id order.
@@ -130,6 +141,21 @@ impl Vocabulary {
             .zip(self.counts.iter())
             .map(|(t, &c)| (t.as_str(), c))
     }
+}
+
+/// The ids, in increasing order, that [`Vocabulary::prune`] keeps: a
+/// document count of at least `min_docs` and at most
+/// `⌊max_doc_frac · num_docs⌋`.
+pub(crate) fn kept_ids(
+    doc_counts: &[usize],
+    num_docs: usize,
+    min_docs: usize,
+    max_doc_frac: f64,
+) -> Vec<usize> {
+    let max_docs = (max_doc_frac * num_docs as f64).floor() as usize;
+    (0..doc_counts.len())
+        .filter(|&id| doc_counts[id] >= min_docs && doc_counts[id] <= max_docs)
+        .collect()
 }
 
 #[cfg(test)]

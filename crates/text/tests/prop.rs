@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use forumcast_text::{tokenize, tokenize_filtered, BagOfWords, Vocabulary};
+use forumcast_text::{tokenize, tokenize_filtered, BagOfWords, Corpus, InternedDocs, Vocabulary};
 
 proptest! {
     /// Tokens never contain separators and are all lowercase.
@@ -79,5 +79,30 @@ proptest! {
             let tok = v.token_of(id).to_owned();
             prop_assert_eq!(v.id_of(&tok), Some(id));
         }
+    }
+
+    /// The vocabulary and corpus of any prefix of interned documents
+    /// equal observing, pruning and encoding that prefix directly.
+    #[test]
+    fn interned_prefix_matches_observe_and_prune(
+        docs in proptest::collection::vec(proptest::collection::vec("[a-e]{2}", 0..8), 0..16),
+        cut in 0usize..17,
+        min_docs in 1usize..4,
+        max_doc_frac in 0.1f64..1.0,
+    ) {
+        let texts: Vec<String> = docs.iter().map(|d| d.join(" ")).collect();
+        let n = cut.min(texts.len());
+        let mut interned = InternedDocs::new();
+        for t in &texts {
+            interned.push_text(t);
+        }
+        let tokenized: Vec<Vec<String>> = texts[..n].iter().map(|t| tokenize_filtered(t)).collect();
+        let mut vocab = Vocabulary::new();
+        for d in &tokenized {
+            vocab.observe(d);
+        }
+        vocab.prune(min_docs, max_doc_frac);
+        let corpus = Corpus::from_token_docs(&tokenized, &vocab).to_tokens();
+        prop_assert_eq!(interned.prefix_corpus(n, min_docs, max_doc_frac), (vocab, corpus));
     }
 }

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use forumcast_text::{BagOfWords, Corpus};
+use forumcast_text::{BagOfWords, Corpus, TokenCorpus};
 
 /// Which Gibbs sampler [`LdaModel::train`] and [`LdaModel::infer`]
 /// use. `Dense` is the original reference implementation; `Sparse`
@@ -194,23 +194,23 @@ impl LdaModel {
     ///
     /// Empty documents receive the uniform topic distribution.
     pub fn train(corpus: &Corpus, config: &LdaConfig) -> LdaModel {
+        Self::train_tokens(&corpus.to_tokens(), config)
+    }
+
+    /// [`LdaModel::train`] on a corpus already in its token-level view
+    /// — the layout the sampler sweeps — so callers holding token ids
+    /// need not build bag-of-words documents first.
+    pub fn train_tokens(corpus: &TokenCorpus, config: &LdaConfig) -> LdaModel {
         let _span = forumcast_obs::span("lda.train");
         let k = config.num_topics;
         let v = corpus.num_words().max(1);
         let d = corpus.num_docs();
         let mut rng = StdRng::seed_from_u64(config.seed);
 
-        // Token-level view of the corpus, flattened to one contiguous
-        // buffer with per-document offsets (CSR layout).
-        let mut tokens: Vec<u32> = Vec::new();
-        let mut doc_offsets: Vec<usize> = Vec::with_capacity(d + 1);
-        doc_offsets.push(0);
-        for bow in corpus.iter() {
-            for w in bow.to_token_ids() {
-                tokens.push(w as u32);
-            }
-            doc_offsets.push(tokens.len());
-        }
+        // Token-level view of the corpus: one contiguous buffer with
+        // per-document offsets (CSR layout).
+        let tokens = corpus.tokens();
+        let doc_offsets = corpus.offsets();
         // Topic assignment per token, initialized uniformly at random
         // (document order, so the init stream matches the historical
         // nested-vec layout bit for bit).
@@ -232,8 +232,8 @@ impl LdaModel {
         match config.sampler {
             LdaSampler::Dense => dense_sweeps(
                 config,
-                &tokens,
-                &doc_offsets,
+                tokens,
+                doc_offsets,
                 &mut z,
                 &mut n_dk,
                 &mut n_kw,
@@ -243,8 +243,8 @@ impl LdaModel {
             ),
             LdaSampler::Sparse => sparse_sweeps(
                 config,
-                &tokens,
-                &doc_offsets,
+                tokens,
+                doc_offsets,
                 &mut z,
                 &mut n_dk,
                 &mut n_kw,

@@ -22,7 +22,7 @@ trap 'rm -f "$trace_file"' EXIT
 cargo run -q -p forumcast-cli --bin forumcast -- \
   evaluate --scale quick --threads 1 --trace "$trace_file" --metrics
 cargo run -q -p forumcast-obs --example validate_trace -- "$trace_file" \
-  evaluate eval.run_cv eval.fold lda.train features.build
+  evaluate eval.run_cv eval.fold lda.train features.build features.fit
 
 echo "==> trace smoke (train/stats via FORUMCAST_TRACE)"
 cargo build -q -p forumcast-cli
